@@ -57,18 +57,21 @@ impl FaultLayer {
     /// time-in-degraded-state of a currently-Open breaker accrues up to
     /// `now`).
     pub fn report(&self, now: SimTime) -> Vec<FaultUnitReport> {
-        self.units
-            .iter()
-            .zip(bionic_telemetry::UNIT_NAMES)
-            .map(|(u, name)| FaultUnitReport {
-                unit: name,
-                stats: u.stats,
-                breaker_state: u.breaker().state(),
-                breaker_opens: u.breaker().opens(),
-                breaker_closes: u.breaker().closes(),
-                time_degraded: u.breaker().time_degraded(now),
-            })
-            .collect()
+        (0..UNIT_COUNT).map(|u| self.unit_report(u, now)).collect()
+    }
+
+    /// Snapshot the unit at telemetry index `unit` (one entry of
+    /// [`FaultLayer::report`], without building the whole list).
+    pub(crate) fn unit_report(&self, unit: usize, now: SimTime) -> FaultUnitReport {
+        let u = &self.units[unit];
+        FaultUnitReport {
+            unit: bionic_telemetry::UNIT_NAMES[unit],
+            stats: u.stats,
+            breaker_state: u.breaker().state(),
+            breaker_opens: u.breaker().opens(),
+            breaker_closes: u.breaker().closes(),
+            time_degraded: u.breaker().time_degraded(now),
+        }
     }
 }
 

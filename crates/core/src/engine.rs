@@ -25,6 +25,7 @@ use bionic_btree::probe::ProbeEngine;
 use bionic_overlay::overlay::OverlayIndex;
 use bionic_overlay::result_cache::ResultCache;
 use bionic_queue::timing::{HwQueueTiming, SwQueueTiming};
+use bionic_sim::arbiter::BwClient;
 use bionic_sim::platform::{Platform, PlatformConfig};
 use bionic_sim::server::{FluidQueue, Server};
 use bionic_sim::stats::Histogram;
@@ -58,6 +59,38 @@ impl LogPath {
         }
     }
 }
+
+/// Per arbiter client: its `<client>_bytes`, `<client>_wait_events` and
+/// `<client>_queued_us` metric names (see [`Engine::collect_metrics`]).
+const ARBITER_CLIENT_METRICS: [(BwClient, [&str; 3]); 2] = [
+    (
+        BwClient::Oltp,
+        ["oltp_bytes", "oltp_wait_events", "oltp_queued_us"],
+    ),
+    (
+        BwClient::Olap,
+        ["olap_bytes", "olap_wait_events", "olap_queued_us"],
+    ),
+];
+
+/// `fault/<unit>` metric scopes, in [`bionic_telemetry::UNIT_NAMES`] order.
+const FAULT_SCOPES: [&str; crate::degrade::UNIT_COUNT] = [
+    "fault/tree-probe",
+    "fault/log-insert",
+    "fault/queue",
+    "fault/overlay",
+    "fault/scanner",
+];
+
+/// `<unit>_forced_sw` placement gauge names, in
+/// [`bionic_telemetry::UNIT_NAMES`] order.
+const FORCED_SW_GAUGES: [&str; crate::degrade::UNIT_COUNT] = [
+    "tree-probe_forced_sw",
+    "log-insert_forced_sw",
+    "queue_forced_sw",
+    "overlay_forced_sw",
+    "scanner_forced_sw",
+];
 
 /// Aggregate run statistics.
 #[derive(Debug, Clone)]
@@ -421,13 +454,16 @@ impl Engine {
 
     /// Pull a metrics snapshot from every layer into the telemetry
     /// registry (engine, WAL, bufferpool, queues, probe engine, fabric,
-    /// PCIe, SG-DRAM, host caches, energy domains). Cold-path: call at the
-    /// end of a run or at a failure capture point, not per transaction.
+    /// PCIe, SG-DRAM, host caches, energy domains). Called at the end of a
+    /// run, at failure capture points, and once per snapshot window by
+    /// windowed drivers (`run_hybrid`, every 200 µs of sim time), so its
+    /// cost is per window, not per run: every metric name is a
+    /// `&'static str` and re-collecting overwrites samples in place
+    /// without allocating. Not meant to be called per transaction.
     pub fn collect_metrics(&mut self) {
         let counters = self.platform.counters();
         let pool = self.pool.stats();
         let probe = self.probe_hw.as_ref().map(|p| p.stats());
-        let energy = self.platform.energy.snapshot();
         let m = self.tel.metrics_mut();
 
         m.counter("engine", "submitted", self.stats.submitted);
@@ -481,25 +517,11 @@ impl Engine {
         m.counter("sg-dram", "accesses", counters.sg_dram_accesses);
         if let Some(c) = &self.platform.contention {
             for (scope, arb) in [("arbiter/sg", &c.sg), ("arbiter/link", &c.link)] {
-                for client in [
-                    bionic_sim::arbiter::BwClient::Oltp,
-                    bionic_sim::arbiter::BwClient::Olap,
-                ] {
-                    m.counter(
-                        scope,
-                        &format!("{}_bytes", client.label()),
-                        arb.client_bytes(client.index()),
-                    );
-                    m.counter(
-                        scope,
-                        &format!("{}_wait_events", client.label()),
-                        arb.client_wait_events(client.index()),
-                    );
-                    m.gauge(
-                        scope,
-                        &format!("{}_queued_us", client.label()),
-                        arb.client_queued(client.index()).as_us(),
-                    );
+                for (client, [bytes, wait_events, queued_us]) in ARBITER_CLIENT_METRICS {
+                    let i = client.index();
+                    m.counter(scope, bytes, arb.client_bytes(i));
+                    m.counter(scope, wait_events, arb.client_wait_events(i));
+                    m.gauge(scope, queued_us, arb.client_queued(i).as_us());
                 }
                 m.counter(scope, "requests", arb.requests());
                 m.gauge(scope, "max_fill_frac", arb.max_fill_frac());
@@ -514,8 +536,12 @@ impl Engine {
             m.counter("cpu-mem", class.label(), n);
         }
 
-        for (domain, e) in energy {
-            m.gauge("energy", domain.label(), e.as_j());
+        for domain in bionic_sim::energy::EnergyDomain::ALL {
+            m.gauge(
+                "energy",
+                domain.label(),
+                self.platform.energy.domain(domain).as_j(),
+            );
         }
 
         if let Some(a) = &self.attrib {
@@ -527,19 +553,19 @@ impl Engine {
 
         if let Some(layer) = &self.faults {
             let now = self.stats.last_completion;
-            for r in layer.report(now) {
-                let scope = format!("fault/{}", r.unit);
-                m.counter(&scope, "ops", r.stats.ops);
-                m.counter(&scope, "hw_ok", r.stats.hw_ok);
-                m.counter(&scope, "retries", r.stats.retries);
-                m.counter(&scope, "fallbacks", r.stats.fallbacks);
-                m.counter(&scope, "stalls", r.stats.stalls);
-                m.counter(&scope, "crc_errors", r.stats.crc_errors);
-                m.counter(&scope, "ecc_errors", r.stats.ecc_errors);
-                m.counter(&scope, "breaker_opens", r.breaker_opens);
-                m.counter(&scope, "breaker_closes", r.breaker_closes);
-                m.gauge(&scope, "breaker_state", f64::from(r.breaker_state.as_u8()));
-                m.gauge(&scope, "time_degraded_us", r.time_degraded.as_us());
+            for (u, scope) in FAULT_SCOPES.into_iter().enumerate() {
+                let r = layer.unit_report(u, now);
+                m.counter(scope, "ops", r.stats.ops);
+                m.counter(scope, "hw_ok", r.stats.hw_ok);
+                m.counter(scope, "retries", r.stats.retries);
+                m.counter(scope, "fallbacks", r.stats.fallbacks);
+                m.counter(scope, "stalls", r.stats.stalls);
+                m.counter(scope, "crc_errors", r.stats.crc_errors);
+                m.counter(scope, "ecc_errors", r.stats.ecc_errors);
+                m.counter(scope, "breaker_opens", r.breaker_opens);
+                m.counter(scope, "breaker_closes", r.breaker_closes);
+                m.gauge(scope, "breaker_state", f64::from(r.breaker_state.as_u8()));
+                m.gauge(scope, "time_degraded_us", r.time_degraded.as_us());
             }
         }
 
@@ -549,12 +575,8 @@ impl Engine {
             m.counter("placement", "shed_windows", r.shed_windows);
             m.counter("placement", "brownout_windows", r.brownout_windows);
             m.counter("placement", "transitions", r.transitions);
-            for (u, name) in bionic_telemetry::UNIT_NAMES.iter().enumerate() {
-                m.gauge(
-                    "placement",
-                    &format!("{name}_forced_sw"),
-                    f64::from(u8::from(r.forced_sw[u])),
-                );
+            for (name, forced) in FORCED_SW_GAUGES.into_iter().zip(r.forced_sw) {
+                m.gauge("placement", name, f64::from(u8::from(forced)));
             }
         }
     }
@@ -741,8 +763,8 @@ impl Engine {
             ..Default::default()
         };
         if let Some(c) = &self.platform.contention {
-            let oltp = bionic_sim::arbiter::BwClient::Oltp.index();
-            let olap = bionic_sim::arbiter::BwClient::Olap.index();
+            let oltp = BwClient::Oltp.index();
+            let olap = BwClient::Olap.index();
             s.oltp_queued_ps =
                 c.sg.client_queued(oltp).as_ps() + c.link.client_queued(oltp).as_ps();
             s.oltp_wait_events = c.sg.client_wait_events(oltp) + c.link.client_wait_events(oltp);
@@ -987,5 +1009,24 @@ impl Engine {
     /// after more writes have happened.
     pub fn current_version(&self) -> u64 {
         self.write_seq - 1
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn static_metric_names_match_their_sources() {
+        for (client, [bytes, wait_events, queued_us]) in ARBITER_CLIENT_METRICS {
+            let label = client.label();
+            assert_eq!(bytes, format!("{label}_bytes"));
+            assert_eq!(wait_events, format!("{label}_wait_events"));
+            assert_eq!(queued_us, format!("{label}_queued_us"));
+        }
+        for (u, unit) in bionic_telemetry::UNIT_NAMES.iter().enumerate() {
+            assert_eq!(FAULT_SCOPES[u], format!("fault/{unit}"));
+            assert_eq!(FORCED_SW_GAUGES[u], format!("{unit}_forced_sw"));
+        }
     }
 }

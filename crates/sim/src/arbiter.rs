@@ -27,9 +27,15 @@
 //! Two independently maintained ledgers back the conservation invariant
 //! the E13 property test checks: per-window fills never exceed capacity,
 //! and the per-client byte totals sum exactly to the grand total.
+//!
+//! The window ledger is dense: flat vectors of window totals and
+//! per-client fills indexed by window number, spanning the earliest to
+//! the latest window any request touched. Booking and the contention test index a
+//! slice, and occupancy is `total_bytes / (capacity × windows touched)`,
+//! so the per-window telemetry that reads it costs O(1) however long the
+//! run has been going.
 
 use crate::time::SimTime;
-use std::collections::BTreeMap;
 
 /// The two contending clients of the hybrid engine (Figure 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,11 +68,83 @@ impl BwClient {
 /// deciding whether a client is contended (and therefore share-capped).
 const ACTIVITY_HORIZON: u64 = 2;
 
-/// One arbitration window's fill state.
+/// Dense per-window grant ledger. Slot `i` is window `base + i`; its
+/// total is `totals[i]`, client `c`'s fill is `fills[i * n_clients + c]`.
+///
+/// A window counts as touched once it holds bytes. That is also every
+/// window a booking visits: a booking only takes zero bytes from a window
+/// that is full or whose share it has used up, and either way the window
+/// already holds bytes.
 #[derive(Debug, Clone)]
-struct Window {
-    total: u64,
-    per_client: Vec<u64>,
+struct Ledger {
+    n_clients: usize,
+    base: u64,
+    totals: Vec<u64>,
+    fills: Vec<u64>,
+    touched: usize,
+}
+
+impl Ledger {
+    fn new(n_clients: usize) -> Self {
+        Ledger {
+            n_clients,
+            base: 0,
+            totals: Vec::new(),
+            fills: Vec::new(),
+            touched: 0,
+        }
+    }
+
+    /// Slot of window `w`, if the ledger spans it.
+    fn slot(&self, w: u64) -> Option<usize> {
+        let i = w.checked_sub(self.base)?;
+        (i < self.totals.len() as u64).then_some(i as usize)
+    }
+
+    /// Slot of window `w`, growing the ledger to span it: forwards, or
+    /// backwards for an arrival earlier than every booking so far.
+    fn slot_or_grow(&mut self, w: u64) -> usize {
+        let n = self.n_clients;
+        if self.totals.is_empty() {
+            self.base = w;
+        } else if w < self.base {
+            let shift = (self.base - w) as usize;
+            self.totals.splice(0..0, std::iter::repeat_n(0, shift));
+            self.fills.splice(0..0, std::iter::repeat_n(0, shift * n));
+            self.base = w;
+        }
+        let i = (w - self.base) as usize;
+        if i >= self.totals.len() {
+            self.totals.resize(i + 1, 0);
+            self.fills.resize((i + 1) * n, 0);
+        }
+        i
+    }
+
+    /// Client `client`'s fill in slot `i`.
+    fn fill(&self, i: usize, client: usize) -> u64 {
+        self.fills[i * self.n_clients + client]
+    }
+
+    /// Grant `bytes` to `client` in slot `i`; returns the window's new
+    /// total.
+    fn grant(&mut self, i: usize, client: usize, bytes: u64) -> u64 {
+        if self.totals[i] == 0 {
+            self.touched += 1;
+        }
+        self.totals[i] += bytes;
+        self.fills[i * self.n_clients + client] += bytes;
+        self.totals[i]
+    }
+
+    /// Every window in index order: `(window, total, per-client fills)`.
+    fn iter(&self) -> impl Iterator<Item = (u64, u64, &[u64])> {
+        self.totals
+            .iter()
+            .zip(self.fills.chunks_exact(self.n_clients))
+            .enumerate()
+            .map(|(i, (&total, fills))| (self.base + i as u64, total, fills))
+    }
 }
 
 /// Outcome of one bandwidth request.
@@ -79,7 +157,9 @@ pub struct Grant {
     pub queued: SimTime,
 }
 
-/// A deterministic windowed weighted-share bandwidth arbiter.
+/// A deterministic windowed weighted-share bandwidth arbiter. Memory is
+/// one dense ledger slot per window between the earliest and latest
+/// window any request touched; every statistic is read in O(1).
 #[derive(Debug, Clone)]
 pub struct SharedBandwidth {
     bytes_per_sec: f64,
@@ -87,7 +167,7 @@ pub struct SharedBandwidth {
     capacity: u64,
     weights: Vec<u64>,
     weight_sum: u64,
-    windows: BTreeMap<u64, Window>,
+    ledger: Ledger,
     /// Ledger A: bytes granted per client, maintained at grant time.
     per_client_bytes: Vec<u64>,
     /// Ledger B: grand-total bytes, maintained independently of ledger A
@@ -122,7 +202,7 @@ impl SharedBandwidth {
             capacity,
             weights: weights.to_vec(),
             weight_sum: weights.iter().sum(),
-            windows: BTreeMap::new(),
+            ledger: Ledger::new(weights.len()),
             per_client_bytes: vec![0; weights.len()],
             total_bytes: 0,
             max_fill: 0,
@@ -164,9 +244,9 @@ impl SharedBandwidth {
     /// Does any rival of `client` hold grants in `[w - ACTIVITY_HORIZON, w]`?
     fn contended(&self, client: usize, w: u64) -> bool {
         let lo = w.saturating_sub(ACTIVITY_HORIZON);
-        self.windows
-            .range(lo..=w)
-            .any(|(_, win)| win.total > win.per_client[client])
+        (lo..=w)
+            .filter_map(|v| self.ledger.slot(v))
+            .any(|i| self.ledger.totals[i] > self.ledger.fill(i, client))
     }
 
     /// Uncontended wire time for `bytes`.
@@ -191,26 +271,21 @@ impl SharedBandwidth {
         let mut last_fill = 0u64;
         while remaining > 0 {
             let capped = self.contended(client, w);
-            let n_clients = self.weights.len();
-            let win = self.windows.entry(w).or_insert_with(|| Window {
-                total: 0,
-                per_client: vec![0; n_clients],
-            });
-            let free = self.capacity - win.total;
+            let i = self.ledger.slot_or_grow(w);
+            let free = self.capacity - self.ledger.totals[i];
             let allowed = if capped {
-                free.min(quota.saturating_sub(win.per_client[client]))
+                free.min(quota.saturating_sub(self.ledger.fill(i, client)))
             } else {
                 free
             };
             let take = remaining.min(allowed);
             if take > 0 {
-                win.total += take;
-                win.per_client[client] += take;
+                let total = self.ledger.grant(i, client, take);
                 self.per_client_bytes[client] += take;
                 self.total_bytes += take;
                 remaining -= take;
-                last_fill = win.total;
-                self.max_fill = self.max_fill.max(win.total);
+                last_fill = total;
+                self.max_fill = self.max_fill.max(total);
             }
             if remaining > 0 {
                 w += 1;
@@ -269,18 +344,20 @@ impl SharedBandwidth {
     }
 
     /// Mean fill across every window touched, as a fraction of capacity —
-    /// the arbiter's occupancy over its active lifetime.
+    /// the arbiter's occupancy over its active lifetime. O(1): every
+    /// granted byte lands in exactly one window, so the grand-total ledger
+    /// is the sum of the window fills.
     pub fn mean_fill_frac(&self) -> f64 {
-        if self.windows.is_empty() {
+        if self.ledger.touched == 0 {
             return 0.0;
         }
-        let sum: u64 = self.windows.values().map(|w| w.total).sum();
-        sum as f64 / (self.capacity as f64 * self.windows.len() as f64)
+        self.total_bytes as f64 / (self.capacity as f64 * self.ledger.touched as f64)
     }
 
-    /// Windows that received at least one grant.
+    /// Windows that received at least one grant (every window a booking
+    /// visited; see the ledger docs).
     pub fn windows_touched(&self) -> usize {
-        self.windows.len()
+        self.ledger.touched
     }
 
     /// Verify the conservation invariant: every window's fill is within
@@ -289,21 +366,20 @@ impl SharedBandwidth {
     /// grand total. Returns a description of the first violation.
     pub fn check_conservation(&self) -> Result<(), String> {
         let mut recomputed = vec![0u64; self.weights.len()];
-        for (idx, win) in &self.windows {
-            if win.total > self.capacity {
+        for (idx, total, fills) in self.ledger.iter() {
+            if total > self.capacity {
                 return Err(format!(
-                    "window {idx}: granted {} > capacity {}",
-                    win.total, self.capacity
+                    "window {idx}: granted {total} > capacity {}",
+                    self.capacity
                 ));
             }
-            let sum: u64 = win.per_client.iter().sum();
-            if sum != win.total {
+            let sum: u64 = fills.iter().sum();
+            if sum != total {
                 return Err(format!(
-                    "window {idx}: per-client sum {sum} != total {}",
-                    win.total
+                    "window {idx}: per-client sum {sum} != total {total}"
                 ));
             }
-            for (c, b) in win.per_client.iter().enumerate() {
+            for (c, b) in fills.iter().enumerate() {
                 recomputed[c] += b;
             }
         }

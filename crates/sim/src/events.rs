@@ -72,9 +72,10 @@ impl<E> EventQueue<E> {
 
     /// Schedule `event` to fire at absolute time `at`.
     ///
-    /// Scheduling in the past is a simulation bug; debug builds panic.
+    /// Scheduling in the past is a simulation bug and panics in every
+    /// build profile.
     pub fn push(&mut self, at: SimTime, event: E) {
-        debug_assert!(
+        assert!(
             at >= self.now,
             "scheduled event in the past: {} < {}",
             at,
@@ -173,7 +174,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "scheduled event in the past")]
-    fn scheduling_in_the_past_panics_in_debug() {
+    fn scheduling_in_the_past_panics() {
         let mut q = EventQueue::new();
         q.push(SimTime::from_ns(10.0), ());
         q.pop();

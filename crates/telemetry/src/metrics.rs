@@ -1,10 +1,13 @@
 //! Named counters and gauges with per-component scoping.
 //!
-//! The registry is a `BTreeMap` keyed on `(scope, name)`, so every
-//! iteration — and therefore every CSV export — is in one deterministic
-//! order regardless of insertion order or job count. Collection happens on
-//! the cold path (end of run, failure snapshot), so simplicity wins over
-//! per-update speed here; the hot path never touches this type.
+//! The registry is a scope → name nested `BTreeMap`, so every iteration —
+//! and therefore every CSV export — is in one deterministic `(scope,
+//! name)` order regardless of insertion order or job count. Collection
+//! runs at the end of a run and at failure snapshots, and also once per
+//! snapshot window in windowed drivers (`run_hybrid` collects every
+//! 200 µs of sim time), so it is on a per-window hot path: overwriting a
+//! metric that already exists looks it up by `&str` and allocates
+//! nothing. Only a metric's first sample allocates its key strings.
 
 use std::collections::BTreeMap;
 
@@ -31,7 +34,8 @@ impl MetricValue {
 /// A deterministic registry of `(scope, name) -> value` metrics.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    values: BTreeMap<(String, String), MetricValue>,
+    values: BTreeMap<String, BTreeMap<String, MetricValue>>,
+    len: usize,
 }
 
 impl MetricsRegistry {
@@ -42,23 +46,31 @@ impl MetricsRegistry {
 
     /// Set counter `scope/name` to `v` (overwrites any prior sample).
     pub fn counter(&mut self, scope: &str, name: &str, v: u64) {
-        self.values.insert(
-            (scope.to_string(), name.to_string()),
-            MetricValue::Counter(v),
-        );
+        self.set(scope, name, MetricValue::Counter(v));
     }
 
     /// Set gauge `scope/name` to `v` (overwrites any prior sample).
     pub fn gauge(&mut self, scope: &str, name: &str, v: f64) {
-        self.values
-            .insert((scope.to_string(), name.to_string()), MetricValue::Gauge(v));
+        self.set(scope, name, MetricValue::Gauge(v));
+    }
+
+    fn set(&mut self, scope: &str, name: &str, v: MetricValue) {
+        let names = match self.values.get_mut(scope) {
+            Some(names) => names,
+            None => self.values.entry(scope.to_string()).or_default(),
+        };
+        match names.get_mut(name) {
+            Some(slot) => *slot = v,
+            None => {
+                names.insert(name.to_string(), v);
+                self.len += 1;
+            }
+        }
     }
 
     /// Look up one metric.
     pub fn get(&self, scope: &str, name: &str) -> Option<MetricValue> {
-        self.values
-            .get(&(scope.to_string(), name.to_string()))
-            .copied()
+        self.values.get(scope)?.get(name).copied()
     }
 
     /// Look up a counter, defaulting to 0 when absent or a gauge.
@@ -71,19 +83,22 @@ impl MetricsRegistry {
 
     /// Number of recorded metrics.
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.len
     }
 
     /// Is the registry empty?
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.len == 0
     }
 
-    /// Iterate `(scope, name, value)` in deterministic `BTreeMap` order.
+    /// Iterate `(scope, name, value)` in deterministic `(scope, name)`
+    /// order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str, MetricValue)> {
-        self.values
-            .iter()
-            .map(|((scope, name), v)| (scope.as_str(), name.as_str(), *v))
+        self.values.iter().flat_map(|(scope, names)| {
+            names
+                .iter()
+                .map(move |(name, v)| (scope.as_str(), name.as_str(), *v))
+        })
     }
 
     /// Render the whole registry as a `scope,name,value` CSV (with header,

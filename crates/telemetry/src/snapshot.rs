@@ -20,11 +20,18 @@
 //! per-window deltas telescope — summed over all windows they equal the
 //! final cumulative counter exactly. The proptest
 //! `prop_snapshot_conservation.rs` pins this.
+//!
+//! Cost: capture runs once per window, so it must not scale with run
+//! length or allocate per metric. The hub interns each `(scope, name)`
+//! once into a sorted key table with the previous counter value beside
+//! it; because the registry iterates in the same order, a capture is one
+//! merge walk over both, and window rows share the interned keys.
 
 use crate::export::fmt_us;
 use crate::metrics::{MetricValue, MetricsRegistry};
 use bionic_sim::time::SimTime;
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::sync::Arc;
 
 /// One captured metric in a window: a counter's exact delta or a gauge's
 /// end-of-window level.
@@ -48,6 +55,19 @@ impl WindowValue {
     }
 }
 
+/// An interned metric key, shared by every window row that names it.
+#[derive(Debug)]
+struct Key {
+    scope: Box<str>,
+    name: Box<str>,
+}
+
+impl Key {
+    fn cmp_to(&self, scope: &str, name: &str) -> Ordering {
+        (&*self.scope, &*self.name).cmp(&(scope, name))
+    }
+}
+
 /// One window's snapshot: its grid position and every metric's delta or
 /// level, in deterministic `(scope, name)` order.
 #[derive(Debug, Clone)]
@@ -58,40 +78,39 @@ pub struct SnapshotWindow {
     pub start: SimTime,
     /// Window end (exclusive), sim time. The final window may be partial.
     pub end: SimTime,
-    rows: Vec<(String, String, WindowValue)>,
+    rows: Vec<(Arc<Key>, WindowValue)>,
 }
 
 impl SnapshotWindow {
     /// All `(scope, name, value)` rows, sorted by `(scope, name)`.
     pub fn rows(&self) -> impl Iterator<Item = (&str, &str, WindowValue)> {
+        self.rows.iter().map(|(k, v)| (&*k.scope, &*k.name, *v))
+    }
+
+    /// The row for `scope/name`, if captured (rows are sorted and unique).
+    fn value(&self, scope: &str, name: &str) -> Option<WindowValue> {
         self.rows
-            .iter()
-            .map(|(s, n, v)| (s.as_str(), n.as_str(), *v))
+            .binary_search_by(|(k, _)| k.cmp_to(scope, name))
+            .ok()
+            .map(|i| self.rows[i].1)
     }
 
     /// This window's counter delta for `scope/name` (0 when absent or a
     /// gauge).
     pub fn counter_delta(&self, scope: &str, name: &str) -> i64 {
-        self.rows
-            .iter()
-            .find(|(s, n, _)| s == scope && n == name)
-            .and_then(|(_, _, v)| match v {
-                WindowValue::Delta(d) => Some(*d),
-                _ => None,
-            })
-            .unwrap_or(0)
+        match self.value(scope, name) {
+            Some(WindowValue::Delta(d)) => d,
+            _ => 0,
+        }
     }
 
     /// This window's gauge level for `scope/name` (`None` when absent or
     /// a counter).
     pub fn gauge_level(&self, scope: &str, name: &str) -> Option<f64> {
-        self.rows
-            .iter()
-            .find(|(s, n, _)| s == scope && n == name)
-            .and_then(|(_, _, v)| match v {
-                WindowValue::Level(l) => Some(*l),
-                _ => None,
-            })
+        match self.value(scope, name) {
+            Some(WindowValue::Level(l)) => Some(l),
+            _ => None,
+        }
     }
 }
 
@@ -100,7 +119,9 @@ impl SnapshotWindow {
 pub struct SnapshotHub {
     window: SimTime,
     windows: Vec<SnapshotWindow>,
-    prev_counters: BTreeMap<(String, String), u64>,
+    /// Every key ever captured, sorted by `(scope, name)`, each with the
+    /// counter value it last had (0 until it is first seen as a counter).
+    keys: Vec<(Arc<Key>, u64)>,
     cursor: SimTime,
 }
 
@@ -111,7 +132,7 @@ impl SnapshotHub {
         SnapshotHub {
             window,
             windows: Vec::new(),
-            prev_counters: BTreeMap::new(),
+            keys: Vec::new(),
             cursor: SimTime::ZERO,
         }
     }
@@ -142,16 +163,30 @@ impl SnapshotHub {
         let start = self.cursor;
         let end = end.max(start);
         let mut rows = Vec::with_capacity(metrics.len());
+        // Both sequences are sorted by (scope, name): walk them together,
+        // interning a key the first time it appears.
+        let mut k = 0;
         for (scope, name, value) in metrics.iter() {
+            while k < self.keys.len() && self.keys[k].0.cmp_to(scope, name) == Ordering::Less {
+                k += 1;
+            }
+            if k == self.keys.len() || self.keys[k].0.cmp_to(scope, name) != Ordering::Equal {
+                let key = Key {
+                    scope: scope.into(),
+                    name: name.into(),
+                };
+                self.keys.insert(k, (Arc::new(key), 0));
+            }
+            let (key, prev) = &mut self.keys[k];
             let wv = match value {
                 MetricValue::Counter(cur) => {
-                    let key = (scope.to_string(), name.to_string());
-                    let prev = self.prev_counters.insert(key, cur).unwrap_or(0);
-                    WindowValue::Delta(cur as i64 - prev as i64)
+                    let delta = cur as i64 - *prev as i64;
+                    *prev = cur;
+                    WindowValue::Delta(delta)
                 }
                 MetricValue::Gauge(level) => WindowValue::Level(level),
             };
-            rows.push((scope.to_string(), name.to_string(), wv));
+            rows.push((Arc::clone(key), wv));
         }
         self.windows.push(SnapshotWindow {
             index: self.windows.len() as u64,

@@ -326,8 +326,8 @@ impl Telemetry {
         &self.metrics
     }
 
-    /// The metrics registry (write) — collection is cold-path, so this is
-    /// not gated on `enabled`.
+    /// The metrics registry (write). Not gated on `enabled`: windowed
+    /// drivers collect into it whether or not spans are recorded.
     pub fn metrics_mut(&mut self) -> &mut MetricsRegistry {
         &mut self.metrics
     }
