@@ -23,6 +23,25 @@ fn bench_slotted_insert(c: &mut Criterion) {
     });
 }
 
+/// Small records: 24 B bodies put ~290 slots on a page, the regime where a
+/// directory walk per insert would make filling a page quadratic.
+fn bench_slotted_insert_small(c: &mut Criterion) {
+    c.bench_function("slotted_fill_page_24B", |b| {
+        let rec = [7u8; 24];
+        b.iter(|| {
+            let mut page = Page::zeroed();
+            let mut sp = SlottedPage::init(&mut page);
+            let mut n = 0;
+            while sp.insert(&rec).is_ok() {
+                n += 1;
+            }
+            // (8192 - 16 header) / (24 + 4 slot) = 292 records.
+            assert_eq!(n, 292);
+            black_box(n)
+        });
+    });
+}
+
 fn bench_slotted_get(c: &mut Criterion) {
     let mut page = Page::zeroed();
     let mut sp = SlottedPage::init(&mut page);
@@ -75,6 +94,20 @@ fn bench_heap_insert_get(c: &mut Criterion) {
         b.iter(|| black_box(heap.insert(&mut pool, &rec).unwrap().0));
     });
 
+    // A table load: 10k small rows into a fresh heap file, ~35 pages.
+    c.bench_function("heap_load_10k_24B", |b| {
+        let rec = [5u8; 24];
+        b.iter(|| {
+            let mut pool = BufferPool::new(64, DiskManager::new());
+            let mut heap = HeapFile::new();
+            for _ in 0..10_000 {
+                heap.insert(&mut pool, &rec).unwrap();
+            }
+            assert_eq!(heap.page_ids().len(), 35);
+            black_box(heap.page_ids().len())
+        });
+    });
+
     let mut pool = BufferPool::new(4096, DiskManager::new());
     let mut heap = HeapFile::new();
     let rids: Vec<_> = (0..10_000)
@@ -92,6 +125,7 @@ fn bench_heap_insert_get(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_slotted_insert,
+    bench_slotted_insert_small,
     bench_slotted_get,
     bench_pool_hit,
     bench_pool_thrash,

@@ -382,7 +382,8 @@ impl Engine {
     /// work is not part of any measured experiment). The record image is
     /// `key || body`.
     pub fn load(&mut self, table: u32, key: i64, body: &[u8]) {
-        let rec = crate::table::make_record(key, body);
+        let mut rec = std::mem::take(&mut self.scratch.rec_before);
+        crate::table::make_record_into(key, body, &mut rec);
         let t = &mut self.tables[table as usize];
         let (rid, _) = t.heap.insert(&mut self.pool, &rec).expect("load insert");
         let (old, _) = t.index.insert(key, rid.to_u64());
@@ -395,6 +396,7 @@ impl Engine {
                 t.name
             );
         }
+        self.scratch.rec_before = rec;
     }
 
     /// Finish loading: flush everything, build overlays from the loaded

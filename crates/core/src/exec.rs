@@ -145,17 +145,17 @@ enum IndexUndo {
 }
 
 /// Reusable scratch buffers for the transaction hot path. One instance
-/// lives on the [`Engine`]; [`Engine::submit`] and the batch planner check
-/// buffers out with `mem::take`, use them, and put them back, so the
-/// steady-state loop allocates nothing per transaction — buffers grow to
-/// the workload's high-water mark once and stay there.
+/// lives on the [`Engine`]; [`Engine::submit`], the batch planner and
+/// [`Engine::load`] check buffers out with `mem::take`, use them, and put
+/// them back, so the steady-state loop allocates nothing per transaction —
+/// buffers grow to the workload's high-water mark once and stay there.
 #[derive(Debug, Default)]
 pub(crate) struct ExecScratch {
     undo: Vec<IndexUndo>,
     written_tables: Vec<u32>,
     op_marks: Vec<(&'static str, &'static str, SimTime, SimTime)>,
     completions: Vec<SimTime>,
-    rec_before: Vec<u8>,
+    pub(crate) rec_before: Vec<u8>,
     rec_after: Vec<u8>,
     range_rids: Vec<u64>,
     /// Batch-planner groups, kept sorted by table id so iteration matches

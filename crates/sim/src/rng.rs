@@ -51,10 +51,12 @@ impl SplitMix64 {
         SplitMix64::new(self.next_u64())
     }
 
-    /// Uniform integer in `[0, bound)`. `bound` must be nonzero.
+    /// Uniform integer in `[0, bound)`. `bound` must be nonzero (panics
+    /// otherwise, in release builds too: a zero bound would silently
+    /// return 0 from an empty range).
     #[inline]
     pub fn below(&mut self, bound: u64) -> u64 {
-        debug_assert!(bound > 0);
+        assert!(bound > 0, "SplitMix64::below(0): empty range");
         // Lemire's multiply-shift rejection-free mapping is fine here: the
         // tiny modulo bias (< 2^-64 * bound) is irrelevant to cache modeling.
         ((self.next_u64() as u128 * bound as u128) >> 64) as u64
@@ -111,6 +113,12 @@ mod tests {
         let mut p = SplitMix64::new(7);
         let mut c = p.split();
         assert_ne!(p.next_u64(), c.next_u64());
+    }
+
+    #[test]
+    #[should_panic(expected = "empty range")]
+    fn below_zero_panics() {
+        SplitMix64::new(1).below(0);
     }
 
     #[test]

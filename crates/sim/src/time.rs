@@ -10,6 +10,25 @@ use core::fmt;
 use core::iter::Sum;
 use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
+/// `x.round() as u64`, bit for bit, without the out-of-line libm `round`
+/// call the default x86-64 target emits: every cost charge goes through
+/// here. Below 2^52 the fraction `x - trunc(x)` is exact, so comparing it
+/// with 0.5 rounds half away from zero exactly as `f64::round`; from 2^52
+/// up every `f64` is already an integer. NaN, negatives and values that
+/// round to zero give 0, and the `as` cast saturates at `u64::MAX`.
+#[inline]
+fn round_to_u64(x: f64) -> u64 {
+    const EXACT: f64 = (1u64 << 52) as f64;
+    if x.is_nan() || x < 0.5 {
+        0
+    } else if x >= EXACT {
+        x as u64
+    } else {
+        let t = x as u64;
+        t + (x - t as f64 >= 0.5) as u64
+    }
+}
+
 /// A point in simulated time, or a duration, in picoseconds.
 ///
 /// `SimTime` is deliberately a single type for both instants and durations;
@@ -33,25 +52,25 @@ impl SimTime {
     /// Construct from nanoseconds (fractional values allowed).
     #[inline]
     pub fn from_ns(ns: f64) -> Self {
-        SimTime((ns * 1e3).round() as u64)
+        SimTime(round_to_u64(ns * 1e3))
     }
 
     /// Construct from microseconds.
     #[inline]
     pub fn from_us(us: f64) -> Self {
-        SimTime((us * 1e6).round() as u64)
+        SimTime(round_to_u64(us * 1e6))
     }
 
     /// Construct from milliseconds.
     #[inline]
     pub fn from_ms(ms: f64) -> Self {
-        SimTime((ms * 1e9).round() as u64)
+        SimTime(round_to_u64(ms * 1e9))
     }
 
     /// Construct from seconds.
     #[inline]
     pub fn from_secs(s: f64) -> Self {
-        SimTime((s * 1e12).round() as u64)
+        SimTime(round_to_u64(s * 1e12))
     }
 
     /// Raw picosecond count.
@@ -159,7 +178,7 @@ impl Mul<f64> for SimTime {
     type Output = SimTime;
     #[inline]
     fn mul(self, rhs: f64) -> SimTime {
-        SimTime((self.0 as f64 * rhs).round() as u64)
+        SimTime(round_to_u64(self.0 as f64 * rhs))
     }
 }
 
@@ -231,6 +250,50 @@ mod tests {
         assert_eq!((a * 3u64).as_ns(), 30.0);
         assert_eq!((a / 2).as_ns(), 5.0);
         assert_eq!((a * 0.5).as_ns(), 5.0);
+    }
+
+    #[test]
+    fn rounding_matches_f64_round_on_edge_cases() {
+        let p52 = (1u64 << 52) as f64;
+        let p53 = (1u64 << 53) as f64;
+        let p64 = 18_446_744_073_709_551_616.0_f64;
+        let cases = [
+            0.0,
+            -0.0,
+            0.499_999_999_999_999_94,
+            0.5,
+            1.5,
+            2.5,
+            1.0 - f64::EPSILON / 2.0,
+            p52 - 0.5,
+            p52 + 0.5,
+            p52 - 1.5,
+            p52,
+            p52 + 1.0,
+            p53,
+            p53 + 2.0,
+            -0.5,
+            -0.4,
+            -1.5,
+            -1e300,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            p64,
+            p64 * 2.0,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            4.9e-324,
+        ];
+        for x in cases {
+            assert_eq!(
+                round_to_u64(x),
+                x.round() as u64,
+                "x = {x:e} ({:#x})",
+                x.to_bits()
+            );
+        }
     }
 
     #[test]

@@ -5,10 +5,13 @@
 //! FPGA-side overlay. This is the conventional pool those comparisons need.
 //! Every access returns an [`Access`] footprint (hit? dirty eviction?) that
 //! the engine converts to simulated time and energy.
+//!
+//! Page ids are dense (the [`DiskManager`] hands them out sequentially), so
+//! the page table is a plain vector indexed by page id: one bounds-checked
+//! load per access, no hashing.
 
 use crate::disk::DiskManager;
 use crate::page::{Page, PageId};
-use std::collections::HashMap;
 
 /// Footprint of one buffer-pool access, consumed by the cost model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,11 +55,16 @@ struct Frame {
     pins: u32,
 }
 
+/// Page-table entry of a page that holds no frame.
+const NOT_RESIDENT: u32 = u32::MAX;
+
 /// A CLOCK-replacement buffer pool over a [`DiskManager`].
 pub struct BufferPool {
     capacity: usize,
     frames: Vec<Frame>,
-    map: HashMap<PageId, usize>,
+    /// Frame index per page id; [`NOT_RESIDENT`] for pages not in a frame.
+    /// Grows on fault-in to cover the highest page id seen.
+    table: Vec<u32>,
     hand: usize,
     disk: DiskManager,
     stats: PoolStats,
@@ -65,11 +73,11 @@ pub struct BufferPool {
 impl BufferPool {
     /// A pool holding at most `capacity` pages over `disk`.
     pub fn new(capacity: usize, disk: DiskManager) -> Self {
-        assert!(capacity >= 1);
+        assert!(capacity >= 1 && capacity < NOT_RESIDENT as usize);
         BufferPool {
             capacity,
             frames: Vec::with_capacity(capacity),
-            map: HashMap::with_capacity(capacity),
+            table: Vec::new(),
             hand: 0,
             disk,
             stats: PoolStats::default(),
@@ -79,8 +87,17 @@ impl BufferPool {
     /// Allocate a fresh page on disk and fault it in.
     pub fn allocate_page(&mut self) -> (PageId, Access) {
         let id = self.disk.allocate();
-        let access = self.fault_in(id);
+        let (_, access) = self.fault_in(id);
         (id, access)
+    }
+
+    /// The frame holding `id`, if resident.
+    #[inline]
+    fn frame_of(&self, id: PageId) -> Option<usize> {
+        match self.table.get(id.0 as usize) {
+            Some(&idx) if idx != NOT_RESIDENT => Some(idx as usize),
+            _ => None,
+        }
     }
 
     fn evict_victim(&mut self) -> (usize, bool) {
@@ -106,27 +123,28 @@ impl BufferPool {
                 self.hand = (self.hand + 1) % self.frames.len();
                 let dirty = self.frames[idx].dirty;
                 if dirty {
-                    let (pid, page) = {
-                        let f = &self.frames[idx];
-                        (f.page_id, f.page.clone())
-                    };
-                    self.disk.write(pid, &page);
+                    let f = &self.frames[idx];
+                    self.disk.write(f.page_id, &f.page);
                     self.stats.dirty_evictions += 1;
                 }
-                self.map.remove(&self.frames[idx].page_id);
+                self.table[self.frames[idx].page_id.0 as usize] = NOT_RESIDENT;
                 return (idx, dirty);
             }
         }
     }
 
-    fn fault_in(&mut self, id: PageId) -> Access {
-        if let Some(&idx) = self.map.get(&id) {
+    /// Make `id` resident; returns its frame index and the access footprint.
+    fn fault_in(&mut self, id: PageId) -> (usize, Access) {
+        if let Some(idx) = self.frame_of(id) {
             self.frames[idx].referenced = true;
             self.stats.hits += 1;
-            return Access {
-                hit: true,
-                evicted_dirty: false,
-            };
+            return (
+                idx,
+                Access {
+                    hit: true,
+                    evicted_dirty: false,
+                },
+            );
         }
         self.stats.misses += 1;
         let page = self.disk.read(id);
@@ -152,24 +170,31 @@ impl BufferPool {
             };
             idx
         };
-        self.map.insert(id, idx);
-        Access {
-            hit: false,
-            evicted_dirty,
+        // `disk.read` above panics on unallocated ids, so `id` is a real
+        // page and the table grows at most to the disk's page count.
+        let slot = id.0 as usize;
+        if slot >= self.table.len() {
+            self.table.resize(slot + 1, NOT_RESIDENT);
         }
+        self.table[slot] = idx as u32;
+        (
+            idx,
+            Access {
+                hit: false,
+                evicted_dirty,
+            },
+        )
     }
 
     /// Read access to a page through a closure.
     pub fn with_page<R>(&mut self, id: PageId, f: impl FnOnce(&Page) -> R) -> (R, Access) {
-        let access = self.fault_in(id);
-        let idx = self.map[&id];
+        let (idx, access) = self.fault_in(id);
         (f(&self.frames[idx].page), access)
     }
 
     /// Write access to a page through a closure; marks the page dirty.
     pub fn with_page_mut<R>(&mut self, id: PageId, f: impl FnOnce(&mut Page) -> R) -> (R, Access) {
-        let access = self.fault_in(id);
-        let idx = self.map[&id];
+        let (idx, access) = self.fault_in(id);
         let frame = &mut self.frames[idx];
         frame.dirty = true;
         (f(&mut frame.page), access)
@@ -178,8 +203,7 @@ impl BufferPool {
     /// Pin a page: fault it in and exempt it from eviction until every pin
     /// is released. Pins nest; each `pin` needs a matching [`BufferPool::unpin`].
     pub fn pin(&mut self, id: PageId) -> Access {
-        let access = self.fault_in(id);
-        let idx = self.map[&id];
+        let (idx, access) = self.fault_in(id);
         self.frames[idx].pins += 1;
         access
     }
@@ -187,7 +211,7 @@ impl BufferPool {
     /// Release one pin on a resident page. Panics on unbalanced unpin —
     /// that is a latching bug, not a recoverable condition.
     pub fn unpin(&mut self, id: PageId) {
-        let idx = *self.map.get(&id).expect("unpin of non-resident page");
+        let idx = self.frame_of(id).expect("unpin of non-resident page");
         let f = &mut self.frames[idx];
         assert!(f.pins > 0, "unpin of unpinned page {id:?}");
         f.pins -= 1;
@@ -195,20 +219,19 @@ impl BufferPool {
 
     /// Current pin count of a page (0 if not resident).
     pub fn pin_count(&self, id: PageId) -> u32 {
-        self.map.get(&id).map_or(0, |&idx| self.frames[idx].pins)
+        self.frame_of(id).map_or(0, |idx| self.frames[idx].pins)
     }
 
     /// Is the page currently held in a frame?
     pub fn is_resident(&self, id: PageId) -> bool {
-        self.map.contains_key(&id)
+        self.frame_of(id).is_some()
     }
 
     /// Flush one page if resident and dirty. Returns true if a write happened.
     pub fn flush(&mut self, id: PageId) -> bool {
-        if let Some(&idx) = self.map.get(&id) {
+        if let Some(idx) = self.frame_of(id) {
             if self.frames[idx].dirty {
-                let page = self.frames[idx].page.clone();
-                self.disk.write(id, &page);
+                self.disk.write(id, &self.frames[idx].page);
                 self.frames[idx].dirty = false;
                 self.stats.flushes += 1;
                 return true;

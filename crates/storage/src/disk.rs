@@ -24,7 +24,8 @@ impl DiskManager {
         Self::default()
     }
 
-    /// Allocate a fresh zeroed page and return its id.
+    /// Allocate a fresh zeroed page and return its id. Ids are dense and
+    /// sequential from 0 — the buffer pool's page table is indexed by them.
     pub fn allocate(&mut self) -> PageId {
         let id = PageId(self.pages.len() as u64);
         self.pages.push(Some(Page::zeroed()));

@@ -66,9 +66,14 @@ impl HeapFile {
 
     /// Adopt an already-allocated page into this file — used when rebuilding
     /// heap metadata after recovery (the page population is discovered from
-    /// the log). Pages must be adopted in ascending id order.
+    /// the log). Pages must be adopted in ascending id order; anything else
+    /// panics, in release builds too.
     pub fn adopt_page(&mut self, pid: PageId) {
-        debug_assert!(self.pages.last().is_none_or(|&p| p < pid));
+        assert!(
+            self.pages.last().is_none_or(|&p| p < pid),
+            "adopt_page out of order: {pid} after {:?}",
+            self.pages.last()
+        );
         self.pages.push(pid);
     }
 
@@ -301,6 +306,14 @@ mod tests {
             seen += 1;
         });
         assert_eq!(seen, 49);
+    }
+
+    #[test]
+    #[should_panic(expected = "adopt_page out of order")]
+    fn adopting_pages_out_of_order_panics() {
+        let mut hf = HeapFile::new();
+        hf.adopt_page(PageId(3));
+        hf.adopt_page(PageId(2));
     }
 
     #[test]

@@ -25,6 +25,7 @@ const OFF_LSN: usize = 0;
 const OFF_NSLOTS: usize = 8;
 const OFF_FREE_START: usize = 10;
 const OFF_FREE_END: usize = 12;
+const OFF_TOMBSTONES: usize = 14;
 
 /// Errors from slotted-page operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,6 +138,17 @@ impl<'a> SlottedPage<'a> {
         Some((rec_off, rec_len))
     }
 
+    /// Number of tombstoned slots (offset 0) in the directory.
+    pub fn tombstones(&self) -> u16 {
+        get_u16(self.b(), OFF_TOMBSTONES)
+    }
+
+    fn add_tombstones(&mut self, delta: i32) {
+        let n = u16::try_from(i32::from(self.tombstones()) + delta)
+            .expect("tombstone count out of range");
+        put_u16(self.bm(), OFF_TOMBSTONES, n);
+    }
+
     fn set_slot(&mut self, i: u16, rec_off: u16, rec_len: u16) {
         let off = HEADER + i as usize * SLOT_BYTES;
         put_u16(self.bm(), off, rec_off);
@@ -159,6 +171,13 @@ impl<'a> SlottedPage<'a> {
         PAGE_SIZE - self.free_start() - live
     }
 
+    /// Do `need` bytes fit, possibly via compaction? The contiguous gap is
+    /// never larger than [`SlottedPage::total_free`], so the directory walk
+    /// only runs when the gap alone is too small.
+    fn fits(&self, need: usize) -> bool {
+        need <= self.contiguous_free() || need <= self.total_free()
+    }
+
     /// Would an insert of `len` bytes succeed (possibly via compaction)?
     pub fn can_insert(&self, len: usize) -> bool {
         let need_slot = if self.first_free_slot().is_some() {
@@ -166,10 +185,15 @@ impl<'a> SlottedPage<'a> {
         } else {
             SLOT_BYTES
         };
-        len + need_slot <= self.total_free() && len <= MAX_RECORD
+        len <= MAX_RECORD && self.fits(len + need_slot)
     }
 
+    /// The lowest tombstoned slot; reads no directory entry when the page
+    /// has no tombstones.
     fn first_free_slot(&self) -> Option<u16> {
+        if self.tombstones() == 0 {
+            return None;
+        }
         (0..self.slot_count()).find(|&i| matches!(self.slot(i), Some((0, _))))
     }
 
@@ -200,16 +224,19 @@ impl<'a> SlottedPage<'a> {
         if rec.len() > MAX_RECORD {
             return Err(SlotError::RecordTooLarge);
         }
-        if !self.can_insert(rec.len()) {
-            return Err(SlotError::PageFull);
-        }
         let reuse = self.first_free_slot();
-        let need_slot = if reuse.is_some() { 0 } else { SLOT_BYTES };
-        if self.contiguous_free() < rec.len() + need_slot {
+        let need = rec.len() + if reuse.is_some() { 0 } else { SLOT_BYTES };
+        if self.contiguous_free() < need {
+            if self.total_free() < need {
+                return Err(SlotError::PageFull);
+            }
             self.compact();
         }
         let slot = match reuse {
-            Some(s) => s,
+            Some(s) => {
+                self.add_tombstones(-1);
+                s
+            }
             None => {
                 let s = self.slot_count();
                 put_u16(self.bm(), OFF_NSLOTS, s + 1);
@@ -239,6 +266,7 @@ impl<'a> SlottedPage<'a> {
         match self.slot(slot) {
             Some((off, _)) if off != 0 => {
                 self.set_slot(slot, 0, 0);
+                self.add_tombstones(1);
                 Ok(())
             }
             _ => Err(SlotError::NoSuchSlot),
@@ -260,10 +288,10 @@ impl<'a> SlottedPage<'a> {
         if rec.len() > MAX_RECORD {
             return Err(SlotError::RecordTooLarge);
         }
-        // Grow: tombstone, check room, re-insert at the same slot.
+        // Grow: tombstone, check room, re-insert at the same slot. The slot
+        // is live again on every exit, so the tombstone count is unchanged.
         self.set_slot(slot, 0, 0);
-        let fits = rec.len() <= self.total_free();
-        if !fits {
+        if !self.fits(rec.len()) {
             // Roll back the tombstone.
             self.set_slot(slot, off as u16, len as u16);
             return Err(SlotError::PageFull);
@@ -294,7 +322,7 @@ impl<'a> SlottedPage<'a> {
         } else {
             // Grow the directory up to and including `slot`.
             let grow = (slot + 1 - self.slot_count()) as usize * SLOT_BYTES;
-            if self.total_free() < grow + rec.len() {
+            if !self.fits(grow + rec.len()) {
                 return Err(SlotError::PageFull);
             }
             if self.contiguous_free() < grow {
@@ -307,6 +335,7 @@ impl<'a> SlottedPage<'a> {
             for s in old..=slot {
                 self.set_slot(s, 0, 0);
             }
+            self.add_tombstones(i32::from(slot + 1 - old));
         }
         // Slot exists and is a tombstone: place the body.
         if self.contiguous_free() < rec.len() {
@@ -320,6 +349,7 @@ impl<'a> SlottedPage<'a> {
         self.bm()[start..end].copy_from_slice(rec);
         put_u16(self.bm(), OFF_FREE_END, start as u16);
         self.set_slot(slot, start as u16, rec.len() as u16);
+        self.add_tombstones(-1);
         Ok(())
     }
 

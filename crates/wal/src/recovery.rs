@@ -155,7 +155,7 @@ pub fn undo_txn(lm: &mut LogManager, pool: &mut BufferPool, txn: TxnId) -> u64 {
     let mut cursor = lm.last_lsn_of(txn);
     while let Some(lsn) = cursor {
         let rec = lm.read(lsn).expect("undo chain points at valid record");
-        debug_assert_eq!(rec.txn, txn, "undo chain crossed transactions");
+        assert_eq!(rec.txn, txn, "undo chain crossed transactions");
         let was_data = rec.body.is_redoable();
         cursor = undo_one(lm, pool, &rec);
         if was_data {
@@ -435,6 +435,32 @@ mod tests {
                 .ok()
         })
         .0
+    }
+
+    #[test]
+    #[should_panic(expected = "undo chain crossed transactions")]
+    fn undo_chain_crossing_transactions_panics() {
+        // Txn 2's tail record points back at txn 1's Begin: a corrupt chain
+        // that undo must refuse to follow (in release builds too).
+        let foreign = LogRecord {
+            lsn: 0,
+            txn: 1,
+            prev_lsn: NULL_LSN,
+            body: LogBody::Begin,
+        };
+        let mut image = foreign.encode();
+        image.extend(
+            LogRecord {
+                lsn: image.len() as Lsn,
+                txn: 2,
+                prev_lsn: 0,
+                body: LogBody::Abort,
+            }
+            .encode(),
+        );
+        let mut lm = LogManager::from_image(image);
+        let mut pool = BufferPool::new(4, DiskManager::new());
+        undo_txn(&mut lm, &mut pool, 2);
     }
 
     #[test]
